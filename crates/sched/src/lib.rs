@@ -37,6 +37,7 @@ pub mod hierarchy;
 pub mod job;
 pub mod pool;
 pub mod pricing;
+pub(crate) mod profile;
 pub mod site;
 pub mod slot;
 pub mod stream;

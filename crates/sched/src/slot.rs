@@ -383,10 +383,20 @@ pub fn level_at(points: &[(f64, i64)], t: f64) -> i64 {
 /// legacy scan's unreachable arm, reachable here once maintenance windows
 /// or quotas shape the horizon).
 pub fn earliest_fit(points: &[(f64, i64)], need: i64, dur: f64) -> Option<f64> {
+    earliest_fit_before(points, need, dur, f64::INFINITY)
+}
+
+/// [`earliest_fit`] restricted to candidate starts before `before`: the
+/// scan stops at the first breakpoint at or past it. A re-quote that only
+/// matters if it beats a standing start uses this to skip the rest.
+pub fn earliest_fit_before(points: &[(f64, i64)], need: i64, dur: f64, before: f64) -> Option<f64> {
     let n = points.len();
     let mut i = 0;
     while i < n {
         let t = points[i].0;
+        if t >= before {
+            return None;
+        }
         let mut j = i;
         let mut ok = true;
         while j < n && points[j].0 < t + dur - EPS {
