@@ -34,11 +34,10 @@
 use crate::error::SchedError;
 use crate::job::SchedJob;
 use crate::site::{
-    validate, Departure, FaultAction, FaultEvent, FaultStats, JobOutcome, RequeuePolicy,
-    SchedEngine, SiteConfig, SiteState,
+    validate, Departure, FaultAction, FaultEvent, FaultStats, FaultWindow, JobOutcome,
+    RequeuePolicy, SchedEngine, SiteConfig, SiteState,
 };
-use sim_des::{EventQueue, SimDur, SimTime};
-use sim_faults::{FaultKind, FaultSchedule};
+use sim_des::{EventQueue, SimTime};
 use std::collections::HashMap;
 
 /// Aggregates of one streamed run. Per-job detail goes through the
@@ -163,26 +162,13 @@ where
             }
         }
     }
-    let mut crashes: Vec<(f64, f64, usize)> = Vec::new();
-    let mut degrades: Vec<(f64, f64, usize)> = Vec::new();
+    let mut crashes: Vec<FaultWindow> = Vec::new();
+    let mut degrades: Vec<FaultWindow> = Vec::new();
     let mut requeue = RequeuePolicy::default();
     if let Some(f) = cfg.faults.as_ref().filter(|f| !f.model.is_null()) {
         st.attach_faults();
         requeue = f.requeue;
-        let plan = FaultSchedule::generate(
-            &f.model,
-            cfg.pool.nodes(),
-            SimDur::from_secs_f64(f.horizon_secs),
-            f.seed,
-        );
-        for w in plan.windows() {
-            let (start, end) = (w.start.as_secs_f64(), w.end.as_secs_f64());
-            match w.kind {
-                FaultKind::NodeCrash => crashes.push((start, end.max(start + f.mttr_secs), w.node)),
-                FaultKind::NicDegrade { .. } => degrades.push((start, end, w.node)),
-                _ => {}
-            }
-        }
+        (crashes, degrades) = f.slot_windows(cfg.pool.nodes());
         for (k, &(start, repair_end, _)) in crashes.iter().enumerate() {
             push_static(&mut q, start, Ev::Crash(k));
             push_static(&mut q, repair_end, Ev::Tick);
