@@ -97,6 +97,16 @@ impl WorkloadId {
         }
     }
 
+    /// Whether the workload's builder can lay out `np` ranks: NPB kernels
+    /// need their legal process counts (powers of two; perfect squares
+    /// for BT/SP), MetUM and Chaste factor any positive count.
+    pub fn valid_np(&self, np: usize) -> bool {
+        match *self {
+            WorkloadId::Npb { kernel, .. } => kernel.valid_np(np),
+            WorkloadId::MetUm { .. } | WorkloadId::Chaste { .. } => np >= 1,
+        }
+    }
+
     /// Report name ("cg.A", "metum.n320l70.18steps", ...).
     pub fn name(&self) -> String {
         match *self {
@@ -379,6 +389,13 @@ impl Query {
         if self.np == 0 {
             return Err(AdvisorError::InvalidQuery("np must be >= 1".into()));
         }
+        if !self.workload.valid_np(self.np as usize) {
+            return Err(AdvisorError::InvalidQuery(format!(
+                "np: {} does not run on {} ranks",
+                self.workload.name(),
+                self.np
+            )));
+        }
         if let QueryPolicy::Spread { nodes: 0 } = self.policy {
             return Err(AdvisorError::InvalidQuery(
                 "Spread policy needs >= 1 node".into(),
@@ -594,6 +611,36 @@ mod tests {
         let q = sample().with_policy(QueryPolicy::Spread { nodes: 0 });
         assert!(matches!(q.validate(), Err(AdvisorError::InvalidQuery(_))));
         assert!(sample().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_rank_counts_the_kernel_cannot_run() {
+        // (kernel, illegal np, a legal neighbour)
+        for (kernel, np, legal) in [
+            (Kernel::Bt, 8, 9),
+            (Kernel::Sp, 2, 4),
+            (Kernel::Cg, 12, 16),
+            (Kernel::Lu, 24, 32),
+        ] {
+            let q = Query::new(
+                WorkloadId::Npb {
+                    kernel,
+                    class: Class::S,
+                },
+                PlatformId::Vayu,
+                np,
+            );
+            assert!(
+                matches!(q.validate(), Err(AdvisorError::InvalidQuery(_))),
+                "{} np={np}",
+                kernel.name()
+            );
+            let q = Query { np: legal, ..q };
+            assert!(q.validate().is_ok(), "{} np={legal}", kernel.name());
+        }
+        // MetUM and Chaste factor any positive rank count.
+        let metum = Query::new(WorkloadId::MetUm { timesteps: 2 }, PlatformId::Dcc, 24);
+        assert!(metum.validate().is_ok());
     }
 
     #[test]
